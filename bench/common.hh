@@ -7,8 +7,8 @@
  * src/sim/scenario.hh and the `rix` CLI); their bench binaries are
  * one-line wrappers. This header keeps the helpers the remaining
  * hand-written benches (throughput, ablations, micro) still use: the
- * environment knobs, single-run and sweep front ends, and the table
- * printing utilities.
+ * environment knobs, the single-run front end, and the table printing
+ * utilities.
  *
  * Environment knobs (validated; 0 or garbage is fatal, not silent):
  *   RIX_SCALE  workload scale factor (default 1; paper-like curves
@@ -68,45 +68,6 @@ run(const std::string &bench, const CoreParams &params)
     return runSimulation(program(bench), params, 20'000'000,
                          200'000'000);
 }
-
-/**
- * Figure-sweep front end: phase one registers every (workload, config)
- * point and remembers its slot; then runAll() executes the whole plan
- * across the RIX_JOBS pool; phase two reads reports by slot.
- */
-class Sweep
-{
-  public:
-    /** Register a point; returns its slot for at()/wallSeconds(). */
-    size_t
-    add(const std::string &bench, const CoreParams &params)
-    {
-        SimJob job;
-        job.workload = bench;
-        job.scale = scaleFromEnv();
-        job.params = params;
-        jobs.push_back(std::move(job));
-        return jobs.size() - 1;
-    }
-
-    /** Execute every registered point (parallel per RIX_JOBS). */
-    void
-    runAll()
-    {
-        results = SweepRunner().run(jobs);
-    }
-
-    const SimReport &at(size_t slot) const { return results[slot].report; }
-    double wallSeconds(size_t slot) const
-    {
-        return results[slot].wallSeconds;
-    }
-    size_t size() const { return jobs.size(); }
-
-  private:
-    std::vector<SimJob> jobs;
-    std::vector<SimJobResult> results;
-};
 
 // speedupPct / gmeanSpeedupPct come from base/stats via `using
 // namespace rix` — the same single copy the figure renderers use.

@@ -73,6 +73,17 @@ class TransientError : public std::runtime_error
     }
 };
 
+/** A job whose inputs cannot be built as requested (e.g. a checkpoint
+ *  at or past the program's halt): reported invalid, never retried. */
+class InvalidJobError : public std::runtime_error
+{
+  public:
+    explicit InvalidJobError(const std::string &what)
+        : std::runtime_error(what)
+    {
+    }
+};
+
 /**
  * How a driver treats failing jobs. The environment knobs follow the
  * strict-validation policy (bad values are fatal at startup, never
@@ -85,9 +96,9 @@ class TransientError : public std::runtime_error
  */
 struct FaultPolicy
 {
-    /** Fail fast: the first failing job is fatal for the whole run
-     *  (the historical behaviour). False: complete the healthy jobs
-     *  and report per-job statuses. */
+    /** Strict containment, the only fail-fast switch: once every job
+     *  finished, the first failing one is fatal for the whole run.
+     *  False: complete the healthy jobs and report per-job statuses. */
     bool strict = false;
 
     /** Per-job wall-clock timeout in ms; 0 disables the watchdog. */

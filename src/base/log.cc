@@ -8,12 +8,20 @@ namespace rix
 std::string
 strfmt(const char *fmt, ...)
 {
-    va_list ap;
+    va_list ap, again;
     va_start(ap, fmt);
+    va_copy(again, ap);
     char buf[1024];
-    vsnprintf(buf, sizeof(buf), fmt, ap);
+    const int n = vsnprintf(buf, sizeof(buf), fmt, ap);
     va_end(ap);
-    return std::string(buf);
+    std::string out(buf);
+    if (n >= int(sizeof(buf))) {
+        // Long messages (a full lockstep report) are never truncated.
+        out.resize(size_t(n));
+        vsnprintf(out.data(), size_t(n) + 1, fmt, again);
+    }
+    va_end(again);
+    return out;
 }
 
 void

@@ -222,11 +222,11 @@ cmdRun(int argc, char **argv)
             return 1;
         }
     }
-    // Fault-contained by default for the row renders: K failing jobs
-    // leave the other N-K rows intact, each row carrying its status.
-    // --strict restores fail-fast; the figure renders always fail
-    // fast (runScenarioFile). RIX_TIMEOUT_MS / RIX_RETRIES configure
-    // the watchdog and retry budget (strictly validated).
+    // Fault-contained: K failing jobs leave the other N-K rows intact,
+    // each row carrying its status. --strict makes any failure fatal
+    // once the sweep finishes; the figure renders always run strict
+    // (runScenarioFile). RIX_TIMEOUT_MS / RIX_RETRIES configure the
+    // watchdog and retry budget (strictly validated).
     const rix::FaultPolicy policy = rix::FaultPolicy::fromEnv(strict);
     const int rc =
         storePath

@@ -28,8 +28,8 @@
  *
  * Parsing is structural only (types, ranges, unknown fields fatal to
  * the *request*, never the daemon); semantic validation (unknown
- * workload, bad geometry) happens in runJobContained and comes back as
- * status "invalid".
+ * workload, bad geometry, a checkpoint_at at or past the program's
+ * halt) happens when the job runs and comes back as status "invalid".
  */
 
 #ifndef RIX_SERVE_PROTO_HH

@@ -444,9 +444,17 @@ Server::acquireInputs(const SimJob &job)
             pkey + "@" + std::to_string(job.checkpointAt);
         const std::shared_ptr<const Program> prog = in.prog;
         const u64 at = job.checkpointAt;
-        in.from = ckptLru.get(ckey, [&prog, at]() {
+        in.from = ckptLru.get(ckey, [&prog, &job, at]() {
             Emulator emu(*prog);
             emu.run(at);
+            // A checkpoint of a halted machine would measure nothing
+            // and still answer "ok".
+            if (emu.halted())
+                throw InvalidJobError(strfmt(
+                    "%s: checkpoint_at %llu is at or past the program's "
+                    "halt at instruction %llu",
+                    job.workload.c_str(), (unsigned long long)at,
+                    (unsigned long long)emu.instsExecuted()));
             return emu.snapshot();
         });
     }

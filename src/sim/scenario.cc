@@ -744,8 +744,8 @@ observabilityPath(const std::string &base, size_t job_index, size_t n_jobs)
  *  n_jobs the full expansion size — both invariant under resume, so a
  *  resumed sweep's file names line up with a fresh one's. */
 void
-attachObservabilityJob(const ScenarioSpec &spec, SimJob &job,
-                       size_t job_index, size_t n_jobs)
+attachObservability(const ScenarioSpec &spec, SimJob &job,
+                    size_t job_index, size_t n_jobs)
 {
     if (spec.trace.enabled) {
         std::string err;
@@ -763,23 +763,11 @@ attachObservabilityJob(const ScenarioSpec &spec, SimJob &job,
         job.metrics = std::make_shared<MetricsRecorder>(spec.metrics.every);
 }
 
-/** Arm every job of a fresh (non-resumed) sweep. */
-void
-attachObservability(const ScenarioSpec &spec, std::vector<SimJob> &jobs)
-{
-    if (spec.profile)
-        hostProfiler().setEnabled(true);
-    if (!spec.trace.enabled && !spec.metrics.enabled)
-        return;
-    for (size_t i = 0; i < jobs.size(); ++i)
-        attachObservabilityJob(spec, jobs[i], i, jobs.size());
-}
-
 /** Write one job's metrics time series (JSON lines, suffixed like the
  *  trace outputs), labeled scenario/workload/config. */
 void
-writeMetricsOutputJob(const ScenarioSpec &spec, const SimJob &job,
-                      size_t job_index, size_t n_jobs)
+writeMetricsOutput(const ScenarioSpec &spec, const SimJob &job,
+                   size_t job_index, size_t n_jobs)
 {
     if (!job.metrics)
         return;
@@ -795,117 +783,12 @@ writeMetricsOutputJob(const ScenarioSpec &spec, const SimJob &job,
         rix_fatal("scenario '%s': %s", spec.name.c_str(), err.c_str());
 }
 
-void
-writeMetricsOutputs(const ScenarioSpec &spec,
-                    const std::vector<SimJob> &jobs)
-{
-    if (!spec.metrics.enabled)
-        return;
-    for (size_t i = 0; i < jobs.size(); ++i)
-        writeMetricsOutputJob(spec, jobs[i], i, jobs.size());
-}
-
 } // namespace
 
 ScenarioResults
 runScenario(const ScenarioSpec &spec)
 {
-    std::vector<SimJob> jobs = expandScenarioJobs(spec);
-    attachObservability(spec, jobs);
-
-    ScenarioResults res;
-    res.numConfigs = spec.configs.size();
-    if (spec.sampling.empty()) {
-        res.jobs = SweepRunner().run(jobs);
-        writeMetricsOutputs(spec, jobs);
-        return res;
-    }
-    const size_t numIntervals = spec.sampling.intervals.size();
-
-    // Build every workload's checkpoints in *ascending* order plus its
-    // whole-run instruction count before the sweep — one functional
-    // pass per workload, each fast-forward seeding from the previous
-    // checkpoint. Dispatching the interval jobs cold instead would let
-    // a parallel pool race all K builders past bestReadySeed and
-    // fast-forward K times from instruction 0. Workloads are
-    // independent, so this phase parallelizes across them on the same
-    // RIX_JOBS knob.
-    std::vector<u64> totals(spec.workloads.size());
-    const auto prepareWorkload = [&](size_t w) {
-        for (const SamplingInterval &iv : spec.sampling.intervals)
-            globalCheckpointCache().get(spec.workloads[w], spec.scale,
-                                        iv.checkpointAt);
-        totals[w] = globalCheckpointCache().totalInsts(
-            spec.workloads[w], spec.scale, spec.maxRetired);
-    };
-    const size_t nWorkloads = spec.workloads.size();
-    const unsigned nThreads =
-        unsigned(std::min<size_t>(jobsFromEnv(), nWorkloads));
-    if (nThreads <= 1 || nWorkloads <= 1) {
-        for (size_t w = 0; w < nWorkloads; ++w)
-            prepareWorkload(w);
-    } else {
-        ThreadPool pool(nThreads);
-        std::vector<std::future<void>> pendings;
-        pendings.reserve(nWorkloads);
-        for (size_t w = 0; w < nWorkloads; ++w)
-            pendings.push_back(pool.submit([&prepareWorkload, w]() {
-                prepareWorkload(w);
-            }));
-        for (std::future<void> &f : pendings)
-            f.get();
-    }
-
-    res.intervalJobs = SweepRunner().run(jobs);
-    writeMetricsOutputs(spec, jobs);
-
-    // Merge every point's intervals back into one row.
-    const size_t points = spec.workloads.size() * spec.configs.size();
-    res.jobs.resize(points);
-    res.sampled.resize(points);
-    for (size_t w = 0; w < spec.workloads.size(); ++w) {
-        // A plan tuned for one scale can land past another run's end;
-        // measuring *nothing* would silently extrapolate from zero.
-        bool warned = false;
-        for (size_t c = 0; c < spec.configs.size(); ++c) {
-            const size_t point = w * spec.configs.size() + c;
-            const SimJobResult *ivs =
-                &res.intervalJobs[point * numIntervals];
-            res.sampled[point] = mergeIntervals(spec.sampling, ivs,
-                                                totals[w],
-                                                &res.jobs[point]);
-            if (res.sampled[point].measuredInsts == 0)
-                rix_fatal("scenario '%s': the sampling plan measured "
-                          "nothing for workload '%s' — the run ends at "
-                          "instruction %llu, before the first interval "
-                          "(start %llu)",
-                          spec.name.c_str(), spec.workloads[w].c_str(),
-                          (unsigned long long)totals[w],
-                          (unsigned long long)
-                              spec.sampling.intervals[0].checkpointAt);
-            for (size_t k = 0; !warned && k < numIntervals; ++k) {
-                if (ivs[k].report.core.retired == 0) {
-                    rix_warn("scenario '%s': workload '%s' ends at "
-                             "instruction %llu, so sampling interval "
-                             "%zu (start %llu) measured nothing — "
-                             "coverage is below plan",
-                             spec.name.c_str(),
-                             spec.workloads[w].c_str(),
-                             (unsigned long long)totals[w], k,
-                             (unsigned long long)
-                                 spec.sampling.intervals[k].checkpointAt);
-                    warned = true;
-                }
-            }
-        }
-    }
-    return res;
-}
-
-ScenarioResults
-runScenario(const ScenarioSpec &spec, const FaultPolicy &policy)
-{
-    return runScenario(spec, policy, nullptr);
+    return runScenario(spec, FaultPolicy::fromEnv(/*strict=*/true));
 }
 
 ScenarioResults
@@ -969,36 +852,57 @@ runScenario(const ScenarioSpec &spec, const FaultPolicy &policy,
         hostProfiler().setEnabled(true);
     if (spec.trace.enabled || spec.metrics.enabled)
         for (size_t k = 0; k < remaining.size(); ++k)
-            attachObservabilityJob(spec, remaining[k], remainingIdx[k],
-                                   jobs.size());
+            attachObservability(spec, remaining[k], remainingIdx[k],
+                                jobs.size());
 
     ScenarioResults res;
-    res.contained = true;
     res.numConfigs = spec.configs.size();
 
-    // Checkpoint construction stays fail-fast even under containment:
-    // it is shared infrastructure (one functional pass per workload),
-    // not a per-job simulation — a workload whose checkpoints cannot
-    // be built poisons every point that needs them. On resume, only
-    // workloads with jobs left to run need their checkpoints; the
-    // whole-run totals (merge denominators) are always needed and are
-    // deterministic, so recomputing them reproduces the original
-    // merge bit-identically.
-    std::vector<u64> totals(spec.workloads.size());
+    // Build every workload's checkpoints in *ascending* order plus its
+    // whole-run instruction count before the sweep — one functional
+    // pass per workload, each fast-forward seeding from the previous
+    // checkpoint. Dispatching the interval jobs cold instead would let
+    // a parallel pool race all K builders past bestReadySeed and
+    // fast-forward K times from instruction 0. Checkpoint construction
+    // is shared infrastructure, not a per-job simulation, so it is
+    // fatal rather than contained. On resume, only workloads with jobs
+    // left to run need their checkpoints; the whole-run totals (merge
+    // denominators) are always needed and are deterministic, so
+    // recomputing them reproduces the original merge bit-identically.
+    // Workloads are independent, so this phase parallelizes across
+    // them on the same RIX_JOBS knob.
+    const size_t nWorkloads = spec.workloads.size();
+    std::vector<u64> totals(nWorkloads);
     if (!spec.sampling.empty()) {
         const size_t jobsPerWorkload =
             spec.configs.size() * spec.sampling.intervals.size();
-        for (size_t w = 0; w < spec.workloads.size(); ++w) {
-            bool needed = false;
-            for (size_t i : remainingIdx)
-                needed = needed || i / jobsPerWorkload == w;
-            if (needed)
+        std::vector<char> needed(nWorkloads, 0);
+        for (size_t i : remainingIdx)
+            needed[i / jobsPerWorkload] = 1;
+        const auto prepareWorkload = [&](size_t w) {
+            if (needed[w])
                 for (const SamplingInterval &iv : spec.sampling.intervals)
                     globalCheckpointCache().get(spec.workloads[w],
                                                 spec.scale,
                                                 iv.checkpointAt);
             totals[w] = globalCheckpointCache().totalInsts(
                 spec.workloads[w], spec.scale, spec.maxRetired);
+        };
+        const unsigned nThreads =
+            unsigned(std::min<size_t>(jobsFromEnv(), nWorkloads));
+        if (nThreads <= 1) {
+            for (size_t w = 0; w < nWorkloads; ++w)
+                prepareWorkload(w);
+        } else {
+            ThreadPool pool(nThreads);
+            std::vector<std::future<void>> pendings;
+            pendings.reserve(nWorkloads);
+            for (size_t w = 0; w < nWorkloads; ++w)
+                pendings.push_back(pool.submit([&prepareWorkload, w]() {
+                    prepareWorkload(w);
+                }));
+            for (std::future<void> &f : pendings)
+                f.get();
         }
     }
 
@@ -1029,8 +933,8 @@ runScenario(const ScenarioSpec &spec, const FaultPolicy &policy,
         all[remainingIdx[k]] = std::move(fresh[k]);
     if (spec.metrics.enabled)
         for (size_t k = 0; k < remaining.size(); ++k)
-            writeMetricsOutputJob(spec, remaining[k], remainingIdx[k],
-                                  jobs.size());
+            writeMetricsOutput(spec, remaining[k], remainingIdx[k],
+                               jobs.size());
 
     if (spec.sampling.empty()) {
         res.jobs = std::move(all);
@@ -1042,10 +946,13 @@ runScenario(const ScenarioSpec &spec, const FaultPolicy &policy,
     // Merge each point's intervals; a point with any failed interval
     // fails as a whole (an extrapolation with a hole in it is not an
     // estimate, it is a lie) but leaves its neighbours intact.
-    const size_t points = spec.workloads.size() * spec.configs.size();
+    const size_t points = nWorkloads * spec.configs.size();
     res.jobs.resize(points);
     res.sampled.resize(points);
-    for (size_t w = 0; w < spec.workloads.size(); ++w) {
+    for (size_t w = 0; w < nWorkloads; ++w) {
+        // A plan tuned for one scale can land past another run's end;
+        // measuring *nothing* would silently extrapolate from zero.
+        bool warned = false;
         for (size_t c = 0; c < spec.configs.size(); ++c) {
             const size_t point = w * spec.configs.size() + c;
             const SimJobResult *ivs =
@@ -1077,6 +984,26 @@ runScenario(const ScenarioSpec &spec, const FaultPolicy &policy,
                     (unsigned long long)totals[w],
                     (unsigned long long)
                         spec.sampling.intervals[0].checkpointAt);
+                if (policy.strict)
+                    rix_fatal("strict: scenario '%s' workload '%s': %s",
+                              spec.name.c_str(),
+                              spec.workloads[w].c_str(),
+                              res.jobs[point].error.c_str());
+                continue;
+            }
+            for (size_t k = 0; !warned && k < numIntervals; ++k) {
+                if (ivs[k].report.core.retired == 0) {
+                    rix_warn("scenario '%s': workload '%s' ends at "
+                             "instruction %llu, so sampling interval "
+                             "%zu (start %llu) measured nothing — "
+                             "coverage is below plan",
+                             spec.name.c_str(),
+                             spec.workloads[w].c_str(),
+                             (unsigned long long)totals[w], k,
+                             (unsigned long long)
+                                 spec.sampling.intervals[k].checkpointAt);
+                    warned = true;
+                }
             }
         }
     }
@@ -1098,16 +1025,13 @@ renderRows(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out,
                 row.label("scenario", spec.name);
             row.label("workload", spec.workloads[w]);
             row.label("config", spec.configs[c].label);
-            if (res.contained) {
-                // Fault-contained runs carry the per-point outcome:
-                // failed points keep their row (zeroed simulation
-                // columns) so N-K healthy results are never hidden by
-                // K failures.
-                const SimJobResult &j = res.jobs[w * res.numConfigs + c];
-                row.label("status", jobStatusName(j.status));
-                row.label("error", j.error);
-                row.stats.set("attempts", double(j.attempts));
-            }
+            // Every row carries the per-point outcome: failed points
+            // keep their row (zeroed simulation columns) so N-K
+            // healthy results are never hidden by K failures.
+            const SimJobResult &j = res.jobs[w * res.numConfigs + c];
+            row.label("status", jobStatusName(j.status));
+            row.label("error", j.error);
+            row.stats.set("attempts", double(j.attempts));
             exportReport(res.report(w, c), row.stats);
             row.stats.set("scale", double(spec.scale));
             row.stats.set("wall_s", res.wallSeconds(w, c));
@@ -1178,22 +1102,16 @@ readScenarioFile(const std::string &path)
     return text;
 }
 
-int
-runScenarioFile(const std::string &path, FILE *out, const FaultPolicy *policy)
+bool
+isRowRender(const ScenarioSpec &spec)
 {
-    const ScenarioSpec spec = parseScenario(readScenarioFile(path));
+    return spec.render == "jsonl" || spec.render == "csv";
+}
 
-    // The figure renderers cannot represent a failed point (they print
-    // the paper's tables), so they always run fail-fast; containment
-    // applies to the generic row renders only.
-    const bool rowRender = spec.render == "jsonl" || spec.render == "csv";
-    const ScenarioResults res = policy && rowRender
-                                    ? runScenario(spec, *policy)
-                                    : runScenario(spec);
-
-    // Render into memory first and write in one piece: a consumer of
-    // stdout never sees a partial JSON/CSV document, whatever happens
-    // mid-render.
+int
+renderScenarioBuffered(const ScenarioSpec &spec, const ScenarioResults &res,
+                       FILE *out)
+{
     char *buf = nullptr;
     size_t bufLen = 0;
     FILE *mem = open_memstream(&buf, &bufLen);
@@ -1205,8 +1123,19 @@ runScenarioFile(const std::string &path, FILE *out, const FaultPolicy *policy)
     fwrite(buf, 1, bufLen, dst);
     fflush(dst);
     free(buf);
+    return res.failures() ? 3 : 0;
+}
 
-    return res.contained && res.failures() ? 3 : 0;
+int
+runScenarioFile(const std::string &path, FILE *out, const FaultPolicy *policy)
+{
+    const ScenarioSpec spec = parseScenario(readScenarioFile(path));
+
+    // The figure renderers cannot represent a failed point (they print
+    // the paper's tables), so they always run strict.
+    FaultPolicy p = policy ? *policy : FaultPolicy::fromEnv(/*strict=*/true);
+    p.strict = p.strict || !isRowRender(spec);
+    return renderScenarioBuffered(spec, runScenario(spec, p), out);
 }
 
 std::string

@@ -130,12 +130,8 @@ struct ScenarioResults
     size_t numConfigs = 0;
     std::vector<SimJobResult> jobs; // workload-major; merged if sampled
 
-    /** True when the run was fault-contained: rows carry the
-     *  status/error/attempts columns and failed points have zeroed
-     *  reports instead of having killed the process. */
-    bool contained = false;
-
-    /** Number of points with status != ok (contained runs). */
+    /** Number of points with status != ok (their reports are zeroed;
+     *  rows carry the status/error/attempts columns). */
     size_t
     failures() const
     {
@@ -166,29 +162,23 @@ struct ScenarioResults
     }
 };
 
-/**
- * Validate every config (fatal with the config label on the first
- * invalid one) and execute the whole scenario across the RIX_JOBS
- * sweep pool. Historical fail-fast semantics: the first failing job
- * kills the process.
- */
+/** runScenario(spec, policy) under FaultPolicy::fromEnv(strict):
+ *  any failing point is fatal once the sweep finishes. */
 ScenarioResults runScenario(const ScenarioSpec &spec);
 
 /**
- * Fault-contained scenario execution: every (workload, config) point
- * gets a structured status; K failing points leave the other N-K rows
- * intact (a sampled point fails as a whole when any of its intervals
- * does). Only the generic row renders may consume a contained result —
- * the figure renderers have no way to mark holes, so the CLI forces
- * the fail-fast path for them. policy.strict dies after all jobs
- * finish, naming the first failure.
- */
-ScenarioResults runScenario(const ScenarioSpec &spec,
-                            const FaultPolicy &policy);
-
-/**
- * Durable fault-contained execution: like runScenario(spec, policy),
- * but bound to a crash-recoverable result store. Every job already
+ * Validate every config (fatal with the config label on the first
+ * invalid one) and execute the whole scenario across the RIX_JOBS
+ * sweep pool — the one scenario run/merge body. Every (workload,
+ * config) point gets a structured status; K failing points leave the
+ * other N-K rows intact (a sampled point fails as a whole when any of
+ * its intervals does, or when its plan measured nothing). Only the
+ * generic row renders can show a failed point — the figure renderers
+ * have no way to mark holes, so runScenarioFile forces policy.strict
+ * for them. policy.strict dies after all jobs finish, naming the
+ * first failure.
+ *
+ * With @p store, the run is durable and resumable: every job already
  * journaled in @p store (matched by expanded job index, workload
  * verified) is *not* re-run — its stored result is used verbatim — and
  * every job that completes successfully is appended to the store, with
@@ -200,7 +190,7 @@ ScenarioResults runScenario(const ScenarioSpec &spec,
  */
 ScenarioResults runScenario(const ScenarioSpec &spec,
                             const FaultPolicy &policy,
-                            ResultStore *store);
+                            ResultStore *store = nullptr);
 
 /**
  * Expand the spec's (workload x config [x sampling interval]) cross
@@ -219,6 +209,19 @@ const std::string &scenarioJobConfigLabel(const ScenarioSpec &spec,
 void renderScenario(const ScenarioSpec &spec, const ScenarioResults &res,
                     FILE *out);
 
+/** True for the generic row renders (jsonl/csv), the only renders that
+ *  can show a failed point. */
+bool isRowRender(const ScenarioSpec &spec);
+
+/**
+ * Render into memory, then write onto @p out (nullptr: stdout) in one
+ * piece, so a consumer never sees a partial JSON/CSV document.
+ * @return process exit code: 0 when every point succeeded, 3 when some
+ *         failed (their rows carry the status).
+ */
+int renderScenarioBuffered(const ScenarioSpec &spec,
+                           const ScenarioResults &res, FILE *out);
+
 /** Slurp a spec file; fatal (naming the path) on open/read errors. */
 std::string readScenarioFile(const std::string &path);
 
@@ -229,12 +232,9 @@ std::string readScenarioFile(const std::string &path);
  * document on @p out — consumers see either the whole render or
  * nothing plus a one-line stderr diagnostic.
  *
- * @p policy null: historical fail-fast semantics. Non-null: fault
- * contained for the row renders (the figure renders always fail fast,
- * see runScenario).
- * @return process exit code: 0 when every job succeeded, 3 when the
- *         sweep completed but some points failed (their rows carry
- *         the status); spec problems are fatal.
+ * @p policy null: FaultPolicy::fromEnv(strict). The figure renders
+ * always run with policy.strict forced on (see runScenario).
+ * @return as renderScenarioBuffered; spec problems are fatal.
  */
 int runScenarioFile(const std::string &path, FILE *out = nullptr,
                     const FaultPolicy *policy = nullptr);

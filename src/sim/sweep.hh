@@ -21,7 +21,7 @@
  *
  * Worker count comes from the RIX_JOBS environment knob (default:
  * hardware concurrency); RIX_JOBS=1 runs everything inline on the
- * calling thread — exactly the historical serial path.
+ * calling thread.
  */
 
 #ifndef RIX_SIM_SWEEP_HH
@@ -239,23 +239,22 @@ class SweepRunner
     /** @p num_threads 0 means "use jobsFromEnv()" (the RIX_JOBS knob). */
     explicit SweepRunner(unsigned num_threads = 0);
 
-    /**
-     * Execute every job and return results in submission order.
-     * Programs are fetched from the global ProgramCache. A job that
-     * throws rethrows here, after all other jobs finished — the
-     * historical fail-fast contract (bench drivers, figure sweeps).
-     */
+    /** run(jobs, policy) under a strict FaultPolicy with no watchdog:
+     *  any failing job is fatal once the sweep finishes. */
     std::vector<SimJobResult> run(const std::vector<SimJob> &jobs);
 
     /**
-     * Fault-contained execution under @p policy: every job gets a
-     * structured status; K failing jobs leave the other N-K results
-     * intact. Transient failures (timeouts, injected transients) are
-     * retried with exponential backoff up to policy.retries; permanent
-     * ones (divergence, stuck, crash) are not. With policy.strict the
-     * whole sweep is fatal *after* all jobs finish, naming the first
-     * failure — fail-fast restored, but still never a partial result
-     * vector. @p on_retire (nullable) fires once per completed job.
+     * Execute every job and return results in submission order; the
+     * one sweep-job loop. Programs are fetched from the global
+     * ProgramCache. Every job gets a structured status; K failing jobs
+     * leave the other N-K results intact. Transient failures
+     * (timeouts, injected transients) are retried with exponential
+     * backoff up to policy.retries; permanent ones (divergence, stuck,
+     * crash) are not. With policy.strict the whole sweep is fatal
+     * *after* all jobs finish, naming the first failure (with the full
+     * lockstep report for a divergence) — fail-fast, but never a
+     * partial result vector. @p on_retire (nullable) fires once per
+     * completed job.
      */
     std::vector<SimJobResult> run(const std::vector<SimJob> &jobs,
                                   const FaultPolicy &policy,

@@ -1,43 +1,11 @@
 #include "store/sweep_store.hh"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "base/log.hh"
 
 namespace rix
 {
-
-namespace
-{
-
-bool
-rowRender(const ScenarioSpec &spec)
-{
-    return spec.render == "jsonl" || spec.render == "csv";
-}
-
-/** Buffered render + exit code, shared with runScenarioFile: the
- *  consumer sees either the whole document or nothing. */
-int
-renderBuffered(const ScenarioSpec &spec, const ScenarioResults &res,
-               FILE *out)
-{
-    char *buf = nullptr;
-    size_t bufLen = 0;
-    FILE *mem = open_memstream(&buf, &bufLen);
-    if (!mem)
-        rix_fatal("cannot allocate render buffer");
-    renderScenario(spec, res, mem);
-    fclose(mem);
-    FILE *dst = out ? out : stdout;
-    fwrite(buf, 1, bufLen, dst);
-    fflush(dst);
-    free(buf);
-    return res.contained && res.failures() ? 3 : 0;
-}
-
-} // namespace
 
 u64
 scenarioSpecHash(const std::string &spec_text, const ScenarioSpec &spec)
@@ -95,10 +63,10 @@ runScenarioFileStored(const std::string &spec_path,
 
     const std::string text = readScenarioFile(spec_path);
     const ScenarioSpec spec = parseScenario(text);
-    if (!rowRender(spec))
+    if (!isRowRender(spec))
         rix_fatal("rix run --store: spec '%s' renders '%s', but a "
                   "journaled run requires a row render (jsonl/csv) — "
-                  "the figure renderers are fail-fast",
+                  "the figure renderers cannot show a failed point",
                   spec_path.c_str(), spec.render.c_str());
 
     std::string err;
@@ -107,8 +75,9 @@ runScenarioFileStored(const std::string &spec_path,
     if (!store)
         rix_fatal("rix run --store: %s", err.c_str());
 
-    const ScenarioResults res = runScenario(spec, policy, store.get());
-    return renderBuffered(spec, res, out);
+    return renderScenarioBuffered(spec,
+                                  runScenario(spec, policy, store.get()),
+                                  out);
 }
 
 int
@@ -174,8 +143,9 @@ resumeStoreFile(const std::string &store_path, FILE *out,
             (unsigned long long)meta.numJobs,
             (unsigned long long)rec.droppedBytes);
 
-    const ScenarioResults res = runScenario(spec, policy, store.get());
-    return renderBuffered(spec, res, out);
+    return renderScenarioBuffered(spec,
+                                  runScenario(spec, policy, store.get()),
+                                  out);
 }
 
 } // namespace rix

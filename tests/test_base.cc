@@ -8,6 +8,7 @@
 
 #include "base/bitutil.hh"
 #include "base/histogram.hh"
+#include "base/log.hh"
 #include "base/rng.hh"
 #include "base/sat_counter.hh"
 #include "base/stats.hh"
@@ -193,4 +194,13 @@ TEST(Counter, IncrementForms)
     EXPECT_EQ(c.value(), 5u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(Log, StrfmtNeverTruncates)
+{
+    EXPECT_EQ(strfmt("%s=%d", "x", 7), "x=7");
+    const std::string body(5000, 'r');
+    const std::string out = strfmt("head %s tail", body.c_str());
+    EXPECT_EQ(out.size(), body.size() + 10);
+    EXPECT_EQ(out, "head " + body + " tail");
 }

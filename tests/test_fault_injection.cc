@@ -20,6 +20,7 @@
 #include "cpu/core.hh"
 #include "sim/fuzz.hh"
 #include "sim/presets.hh"
+#include "sim/sweep.hh"
 
 using namespace rix;
 
@@ -91,6 +92,23 @@ TEST(FaultInjection, WithoutLockstepTheFaultStillPanics)
             core.run(1000, 10'000);
         },
         "DIVA mismatch");
+}
+
+TEST(FaultInjection, StrictSweepDiesWithTheFullDivergenceReport)
+{
+    if (!buildHasInjectedFault())
+        GTEST_SKIP() << "normal build: nothing diverges";
+    SimJob job;
+    job.workload = "gzip";
+    job.params = lockstepParams();
+    FaultPolicy strict;
+    strict.strict = true;
+    // Not just the one-line status: the lockstep report's disassembly
+    // and architectural states survive into the fatal message.
+    EXPECT_DEATH(SweepRunner(1).run({job}, strict),
+                 "strict: job 0 \\(gzip\\) failed: divergence.*"
+                 "inst: +addq.*golden \\(committed\\) architectural "
+                 "state.*shadow emulator architectural state");
 }
 
 TEST(FaultInjection, FuzzFindsMinimizesAndWritesReproducer)

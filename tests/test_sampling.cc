@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 
 #include "base/log.hh"
@@ -387,6 +388,54 @@ TEST(SampledScenario, PartialPlanMergesIntervalsAndExtrapolates)
     const SimReport full = runSimulation(
         prog, spec.configs[0].params, 20'000'000, 200'000'000);
     EXPECT_NEAR(res.sampled[0].ipc(), full.ipc(), full.ipc() * 0.5);
+}
+
+TEST(SampledScenario, ParallelCheckpointPrepMatchesSerial)
+{
+    // Several workloads, so RIX_JOBS=4 builds their checkpoints and
+    // whole-run counts concurrently before the sweep. The parallel run
+    // goes first, while these checkpoints are still cold.
+    const ScenarioSpec spec = parseScenario(R"({
+        "name": "sampled_prep",
+        "workloads": ["vpr.p", "twolf", "parser"],
+        "scale": 1,
+        "base": {"integ.mode": "reverse"},
+        "configs": [{"label": "a", "set": {}},
+                    {"label": "b", "set": {"rs_size": 20}}],
+        "sampling": {"fast_forward": 3100, "warmup": 300,
+                     "measure": 1500, "repeat": 3}})");
+    const char *prev = getenv("RIX_JOBS");
+    const std::string saved = prev ? prev : "";
+    setenv("RIX_JOBS", "4", 1);
+    const ScenarioResults parallel = runScenario(spec);
+    setenv("RIX_JOBS", "1", 1);
+    const ScenarioResults serial = runScenario(spec);
+    if (prev)
+        setenv("RIX_JOBS", saved.c_str(), 1);
+    else
+        unsetenv("RIX_JOBS");
+
+    ASSERT_EQ(parallel.jobs.size(), 6u);
+    ASSERT_EQ(serial.jobs.size(), parallel.jobs.size());
+    ASSERT_EQ(serial.sampled.size(), parallel.sampled.size());
+    for (size_t i = 0; i < parallel.jobs.size(); ++i) {
+        EXPECT_TRUE(parallel.jobs[i].ok()) << parallel.jobs[i].error;
+        expectIdenticalReport(serial.jobs[i].report,
+                              parallel.jobs[i].report);
+        const SampledSummary &a = serial.sampled[i];
+        const SampledSummary &b = parallel.sampled[i];
+        EXPECT_EQ(a.intervals, b.intervals);
+        EXPECT_EQ(a.measuredInsts, b.measuredInsts);
+        EXPECT_EQ(a.measuredCycles, b.measuredCycles);
+        EXPECT_EQ(a.warmupInsts, b.warmupInsts);
+        EXPECT_EQ(a.totalInsts, b.totalInsts);
+        EXPECT_EQ(a.exact, b.exact);
+        EXPECT_GT(b.measuredInsts, 0u);
+    }
+    ASSERT_EQ(serial.intervalJobs.size(), parallel.intervalJobs.size());
+    for (size_t i = 0; i < parallel.intervalJobs.size(); ++i)
+        expectIdenticalReport(serial.intervalJobs[i].report,
+                              parallel.intervalJobs[i].report);
 }
 
 TEST(SampledScenario, RenderEmitsSampledColumns)

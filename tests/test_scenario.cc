@@ -378,6 +378,11 @@ TEST_F(Scenario, RendersJsonlAndCsv)
     EXPECT_EQ(row.find("config")->asString(), "a");
     EXPECT_TRUE(row.find("l1d_misses") != nullptr);
     EXPECT_TRUE(row.find("ipc") != nullptr);
+    // Every run is fault-contained, so every row carries its outcome.
+    ASSERT_TRUE(row.find("status") != nullptr);
+    EXPECT_EQ(row.find("status")->asString(), "ok");
+    ASSERT_TRUE(row.find("attempts") != nullptr);
+    EXPECT_EQ(row.find("attempts")->asNumber(), 1.0);
 
     spec.render = "csv";
     buf = nullptr;
@@ -386,7 +391,8 @@ TEST_F(Scenario, RendersJsonlAndCsv)
     fclose(mem);
     std::string csv(buf, len);
     free(buf);
-    EXPECT_NE(csv.find("scenario,workload,config"), std::string::npos);
+    EXPECT_NE(csv.find("scenario,workload,config,status,error"),
+              std::string::npos);
     EXPECT_NE(csv.find("tiny,gcc,a"), std::string::npos);
 }
 

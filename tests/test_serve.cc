@@ -281,12 +281,21 @@ TEST(Serve, HundredMixedRequestsFlatMemory)
     EXPECT_EQ(invalid, 20);
     EXPECT_EQ(ok, 80); // 60 runs + 20 stats
 
-    // Flat memory: both caches clamped to their half of the budget
-    // (nothing is pinned once the jobs finished).
-    EXPECT_LE(server.programCache().bytes(), opts.cacheBytes / 2);
     EXPECT_GT(server.programCache().hits(), 0u);
     EXPECT_EQ(server.stats().completed.load(), 80u);
     EXPECT_EQ(server.queueDepth(), 0u);
+
+    // Flat memory: nothing is pinned once the jobs finished, so the
+    // next program insertion clamps the cache to its half of the
+    // budget. (Eviction runs at insertion time, and the burst's last
+    // insertion may have happened while other workers still pinned
+    // their programs; the budget binds only unpinned entries.)
+    std::string resp;
+    ASSERT_TRUE(client.sendLine("{\"op\": \"run\", \"workload\": "
+                                "\"twolf\", \"max_retired\": 1000}"));
+    ASSERT_TRUE(client.recvLine(&resp));
+    EXPECT_EQ(statusOf(resp), "ok") << resp;
+    EXPECT_LE(server.programCache().bytes(), opts.cacheBytes / 2);
 
     server.requestShutdown();
     server.waitShutdown();
@@ -315,6 +324,31 @@ TEST(Serve, SampledRunsShareCheckpointsAcrossRequests)
               numberField(second, "retired"));
     EXPECT_EQ(numberField(first, "cycles"),
               numberField(second, "cycles"));
+
+    server.requestShutdown();
+    server.waitShutdown();
+}
+
+TEST(Serve, CheckpointAtOrPastHaltIsInvalid)
+{
+    Server server(testOptions("pasthalt"));
+    ASSERT_EQ(server.start(), "");
+    ServeClient client;
+    ASSERT_EQ(client.connect(server.options().socketPath), "");
+
+    // mcf at scale 4 halts well before instruction 200000: a
+    // checkpoint there would measure nothing, so it must not be "ok".
+    const std::string req =
+        "{\"op\": \"run\", \"workload\": \"mcf\", \"scale\": 4, "
+        "\"max_retired\": 1000, \"checkpoint_at\": 200000}";
+    std::string resp;
+    ASSERT_TRUE(client.sendLine(req));
+    ASSERT_TRUE(client.recvLine(&resp));
+    EXPECT_EQ(statusOf(resp), "invalid") << resp;
+    EXPECT_NE(resp.find("past the program's halt at instruction"),
+              std::string::npos)
+        << resp;
+    EXPECT_EQ(numberField(resp, "attempts"), 1.0) << resp;
 
     server.requestShutdown();
     server.waitShutdown();
