@@ -45,6 +45,7 @@ IntegrationTable::reset(const IntegrationParams &p)
     tagLane.assign(n, 0);
     pcLane.assign(n, 0);
     inputLane.assign(n, 0);
+    lruLane.assign(n, 0);
     lruClock = 0;
     nextId = 1;
     nLookups = nHits = nInserts = nReplacements = 0;
@@ -123,7 +124,7 @@ IntegrationTable::lookup(const ITKey &key, ITHandle *handle)
             continue;
         // Hit: only now touch the payload row.
         ITEntry &e = table[i];
-        e.lruStamp = ++lruClock;
+        lruLane[i] = ++lruClock;
         ++nHits;
         if (handle)
             *handle = ITHandle{e.id, pr.set, u16(w), true};
@@ -164,8 +165,8 @@ IntegrationTable::insert(const ITKey &key, bool has_out, PhysReg out,
     if (!found) {
         u64 best = ~u64(0);
         for (unsigned w = 0; w < assoc; ++w) {
-            if (table[base + w].lruStamp < best) {
-                best = table[base + w].lruStamp;
+            if (lruLane[base + w] < best) {
+                best = lruLane[base + w];
                 victim = w;
             }
         }
@@ -192,7 +193,7 @@ IntegrationTable::insert(const ITKey &key, bool has_out, PhysReg out,
     e.taken = false;
     e.id = nextId++;
     e.createSeq = create_seq;
-    e.lruStamp = ++lruClock;
+    lruLane[base + victim] = ++lruClock;
     writeLanes(base + victim, e);
 
     return ITHandle{e.id, pr.set, u16(victim), true};

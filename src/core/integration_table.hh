@@ -63,7 +63,6 @@ struct ITEntry
 
     u64 id = 0;         // unique, for outcome-fill handles
     u64 createSeq = 0;  // rename-stream position of the creator
-    u64 lruStamp = 0;
 };
 
 /** Stable reference to an entry, validated by id on use. Packed to 16
@@ -170,14 +169,17 @@ class IntegrationTable
 
     /**
      * Probe lanes in structure-of-arrays form, row-major sets x assoc.
-     * lookup() scans only these three compact lanes; the fat payload
-     * row in `table` is touched on a hit (and on insert/victim scan).
-     * tagLane is 0 for an invalid way: a key word always carries the
-     * valid bit, so one compare covers validity and operation tag.
+     * lookup() scans only the three compact compare lanes; the fat
+     * payload row in `table` is touched on a hit and on insert. The
+     * insert victim scan reads only lruLane (the LRU stamp, bumped on
+     * lookup hit and on insert). tagLane is 0 for an invalid way: a
+     * key word always carries the valid bit, so one compare covers
+     * validity and operation tag.
      */
     std::vector<u64> tagLane;
     std::vector<u64> pcLane;
     std::vector<u64> inputLane;
+    std::vector<u64> lruLane;
 
     std::vector<ITEntry> table; // sets x assoc, row-major (payload)
     u64 lruClock = 0;

@@ -18,9 +18,9 @@ Core::Core(const Program &program, const CoreParams &params)
       pregValue(p.integ.numPhysRegs, 0),
       pool(size_t(p.robSize) + p.fetchQueueSize + 1),
       fetchQueue(p.fetchQueueSize), rob(p.robSize),
-      integWaiters(p.integ.numPhysRegs),
-      operandWaiters(p.integ.numPhysRegs)
+      admitQueue(p.rsSize)
 {
+    resetScheduler();
     initArchState();
     resetLockstep(nullptr);
 }
@@ -80,20 +80,7 @@ Core::resetMicroarch(const Program &program, const CoreParams &params)
     sq.clear();
     lq.clear();
     rsBusy = 0;
-
-    // Event plumbing and issue scratch.
-    completionEvents = decltype(completionEvents)();
-    integWaiters.resize(p.integ.numPhysRegs);
-    for (auto &w : integWaiters)
-        w.clear();
-    operandWaiters.resize(p.integ.numPhysRegs);
-    for (auto &w : operandWaiters)
-        w.clear();
-    issuePrio.clear();
-    issueRest.clear();
-    rsList.clear();
-    wokenList.clear();
-    rsScratch.clear();
+    resetScheduler();
 
     // Scalar bookkeeping back to the constructed defaults.
     fetchPc = 0;
@@ -119,6 +106,24 @@ Core::resetMicroarch(const Program &program, const CoreParams &params)
     cov_ = nullptr;
 
     initArchState();
+}
+
+void
+Core::resetScheduler()
+{
+    admitQueue.reset(p.rsSize);
+    const size_t words = (rob.slots() + 63) / 64;
+    for (auto *m : {&readyMask, &prioMask, &loadMask, &heldMask})
+        m->assign(words, 0);
+    integWaiters.resize(p.integ.numPhysRegs);
+    for (auto &w : integWaiters)
+        w.clear();
+    operandWaiters.resize(p.integ.numPhysRegs);
+    for (auto &w : operandWaiters)
+        w.clear();
+    for (auto &bucket : completionWheel)
+        bucket.clear();
+    lateCompletions.clear();
 }
 
 void

@@ -14,6 +14,18 @@
  * entirely: they complete at rename as soon as their integrated
  * register's value is ready.
  *
+ * The scheduler keeps no list to scan. A renamed
+ * reservation-station instruction waits in an admission
+ * FIFO until its earliestIssue (rename cycle + schedule/regread
+ * depth, so the FIFO is in time order). On admission, and again on
+ * every wakeup, it either parks on its first not-ready source
+ * register's waiter list or sets its bit in readyMask, a bitmask
+ * with one bit per ROB ring slot. Select walks readyMask & prioMask
+ * (loads, branches, FP) and then readyMask & ~prioMask with
+ * find-first-set from the ROB head, wrapping: ring order from the
+ * head is age order. Completions land in a calendar of per-cycle
+ * buckets, sorted by seq when their cycle comes.
+ *
  * Wrong paths are genuinely executed: fetch follows the predictors,
  * wrong-path instructions allocate registers and compute values, and
  * squash recovery walks the ROB restoring the map table, reference
@@ -33,7 +45,6 @@
 #include <array>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -259,13 +270,13 @@ class Core
     void finishRenameCommon(DynInst &di);
 
     // ---- execute helpers ----
-    /** Issue-readiness check with wakeup registration: a candidate
-     *  blocked on a source register parks itself on that register's
-     *  waiter list (and leaves the scannable RS list) until writeback
-     *  wakes it; retry-backoff and CHT-blocked candidates return
-     *  false without parking and are re-polled. */
-    bool checkReadyOrPark(DynInst &di);
+    /** Admission or wakeup of an RS instruction: park it on its first
+     *  not-ready source register's waiter list, or mark it ready. */
+    void parkOrReady(DynInst &di);
     void wakeOperandWaiters(PhysReg preg);
+    /** Load hold conditions (LSQ retry backoff, collision-history
+     *  prediction against an older unresolved store). */
+    bool loadHeld(const DynInst &di) const;
     void executeAlu(DynInst &di);
     bool executeLoad(DynInst &di);
     void executeStore(DynInst &di);
@@ -329,6 +340,11 @@ class Core
         done = true;
     }
 
+    /** Empty the scheduler (masks sized from the ROB ring, waiter
+     *  lists, completion calendar); shared by construction and
+     *  reset(). */
+    void resetScheduler();
+
     /** Shared tail of construction and reset(): pin the zero register,
      *  map the architectural registers from the golden state, point
      *  fetch at its PC. */
@@ -369,57 +385,68 @@ class Core
     std::deque<LqEntry> lq;
     unsigned rsBusy = 0;
 
-    // ---- event plumbing ----
-    // Min-heap ordered by (cycle, seq): pops oldest-first within a
-    // cycle and reuses its backing storage instead of allocating map
-    // nodes. Events carry a validated handle so firing one is O(1)
-    // (no ROB search). Note the deliberate tie-break: same-cycle
-    // events fire in age order (the seed's multimap fired them in
-    // scheduling order), so e.g. the older of two branches resolving
-    // in one cycle squashes the younger before it can resolve —
-    // deterministic, and squash/mispredict stats can differ from the
-    // seed in exactly these tie cases while cycle counts do not.
+    // ---- scheduler ----
+    // One bit per ROB ring slot (rob.slots() bits). readyMask: RS
+    // instructions whose operands are ready (RsState::Ready).
+    // prioMask/loadMask: the instruction in that slot takes the
+    // priority ports' age order / is a load; both are written at
+    // rename for every RS instruction and only read under readyMask.
+    // heldMask is issue-stage scratch: ready loads held this cycle.
+    std::vector<u64> readyMask, prioMask, loadMask, heldMask;
+    static void
+    setSlotBit(std::vector<u64> &mask, u32 slot, bool on)
+    {
+        const u64 bit = u64(1) << (slot & 63);
+        u64 &word = mask[slot >> 6];
+        word = on ? word | bit : word & ~bit;
+    }
+    // Renamed RS instructions not yet at earliestIssue, in rename
+    // order (which is earliestIssue order). Holds at most rsSize.
+    HandleRing admitQueue;
+    // Indexed by physical register; inner vectors are cleared (capacity
+    // kept) when drained. Entries are (handle, seq)-validated.
+    std::vector<std::vector<InstRef>> integWaiters;
+    // RS instructions parked until a source register becomes ready.
+    std::vector<std::vector<InstRef>> operandWaiters;
+
+    // ---- completion calendar ----
+    // Events due within completionWheelSlots cycles go to the bucket of
+    // their cycle; writebackStage sorts the current bucket by seq, so
+    // same-cycle events fire in age order: the older of two branches
+    // resolving in one cycle squashes the younger before it can
+    // resolve. Events carry a validated handle, so firing one is O(1)
+    // (no ROB search). Later events wait in a (cycle, seq) min-heap
+    // until their cycle comes. 128 slots (a power of two) hold 99% of
+    // fig4's completions (the rest are 128-255-cycle memory misses);
+    // 256 measurably grew the serve daemon's peak RSS.
+    static constexpr unsigned completionWheelSlots = 128;
     struct CompletionEvent
     {
-        Cycle when = 0;
         InstSeqNum seq = 0;
         InstHandle h = invalidInstHandle;
+    };
+    struct LateCompletion
+    {
+        Cycle when = 0;
+        CompletionEvent ev;
         bool
-        operator>(const CompletionEvent &o) const
+        operator>(const LateCompletion &o) const
         {
-            return when != o.when ? when > o.when : seq > o.seq;
+            return when != o.when ? when > o.when : ev.seq > o.ev.seq;
         }
     };
-    std::priority_queue<CompletionEvent, std::vector<CompletionEvent>,
-                        std::greater<CompletionEvent>>
-        completionEvents;
-    // Indexed by physical register; inner vectors are cleared (capacity
-    // kept) when drained.
-    std::vector<std::vector<InstRef>> integWaiters;
-    // RS instructions parked until a source register becomes ready
-    // (same indexing/validation discipline as integWaiters).
-    std::vector<std::vector<InstRef>> operandWaiters;
-    // Issue-candidate scratch, reused every cycle.
-    std::vector<InstRef> issuePrio, issueRest;
-    // Scannable reservation-station occupants in age order. Entries
-    // are seq-validated against the pool (squash/issue leaves stale
-    // pairs behind) and compacted during the per-cycle scan, so issue
-    // selection is O(RS) instead of O(ROB). Instructions parked on an
-    // operand are *removed* from this list (they live only on their
-    // register's waiter list) and merged back, still age-ordered, on
-    // wakeup — the scheduler never re-polls a parked instruction.
-    std::vector<InstRef> rsList;
-    std::vector<InstRef> wokenList; // woken this cycle, pending merge
-    std::vector<InstRef> rsScratch; // merge buffer, reused
+    std::array<std::vector<CompletionEvent>, completionWheelSlots>
+        completionWheel;
+    std::vector<LateCompletion> lateCompletions; // std::*_heap, greater
 
     // ---- fetch state ----
     InstAddr fetchPc = 0;
     Cycle fetchStallUntil = 0;
 
     // ---- issue state ----
-    // Oldest unresolved store-queue seq, recomputed once per issue
-    // cycle (sq cannot change during candidate collection) so the
-    // per-load collision check is O(1) instead of an SQ scan.
+    // Oldest unresolved store-queue seq, found at most once per issue
+    // cycle (sq cannot change before the issue loop) so the per-load
+    // collision check is O(1) instead of an SQ scan.
     InstSeqNum oldestUnresolvedStore = ~InstSeqNum(0);
 
     // ---- bookkeeping ----

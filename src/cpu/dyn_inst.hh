@@ -7,6 +7,9 @@
 #ifndef RIX_CPU_DYN_INST_HH
 #define RIX_CPU_DYN_INST_HH
 
+#include <cstddef>
+#include <type_traits>
+
 #include "bpred/predictor.hh"
 #include "core/integration_table.hh"
 #include "isa/decoded.hh"
@@ -26,6 +29,15 @@ enum class SquashCause : u8
 
 const char *squashCauseName(SquashCause cause);
 
+/** Where a reservation-station instruction is in the scheduler. */
+enum class RsState : u8
+{
+    None,   // not in the RS (never needed one, or already issued)
+    Queued, // renamed; in the admission FIFO until earliestIssue
+    Parked, // on its first not-ready operand's waiter list
+    Ready,  // operands ready; its ROB slot's readyMask bit is set
+};
+
 /** Producer status observed when an instruction integrated (Figure 5). */
 enum class IntegStatus : u8
 {
@@ -37,13 +49,13 @@ enum class IntegStatus : u8
 };
 
 /**
- * Fields are laid out for the per-cycle issue scan, not by pipeline
- * stage: everything the scheduler reads while deciding whether this
- * instruction can issue (seq validation, eligibility cycles, source
- * registers, status flags) packs into the first 64 bytes, so scanning
- * a reservation-station candidate touches one cache line. The record
- * is reset and recycled once per fetched instruction, so total
- * footprint is hot-loop traffic too.
+ * Fields are laid out for the scheduler, not by pipeline stage:
+ * everything read while admitting, waking, holding or issuing this
+ * instruction (seq validation, eligibility cycles, source registers,
+ * status flags) packs into the first 64 bytes, so touching a
+ * reservation-station candidate touches one cache line. The record
+ * is reconstructed in place and recycled once per fetched
+ * instruction, so total footprint is hot-loop traffic too.
  */
 struct DynInst
 {
@@ -69,11 +81,9 @@ struct DynInst
     bool integrated = false;
     bool reverseIntegrated = false;
     // Execution state.
-    bool needsRs = false;
-    bool inRs = false;
+    RsState rsState = RsState::None;
     bool issued = false;
     bool completed = false;
-    bool waitingOperand = false; // parked on an operand-waiter list
     // Control outcome.
     bool isCtrl = false;
     bool resolved = false;
@@ -105,6 +115,7 @@ struct DynInst
     ITHandle sourceEntry;       // entry this inst integrated from
 
     u32 selfHandle = ~u32(0);   // own pool handle, set at allocation
+    u32 robSlot = 0;            // ROB ring slot, set at rename
     int lqIdx = -1, sqIdx = -1; // -1: no queue entry (integrated loads!)
 
     // Stamped by squashFrom on the recovery walk, read only by the
@@ -129,6 +140,12 @@ struct DynInst
                                                   : pc + 1;
     }
 };
+
+static_assert(offsetof(DynInst, inst) == 64,
+              "scheduler state must fit the first 64-byte line");
+// DynInstPool::alloc reconstructs records in place without destroying
+// the previous occupant.
+static_assert(std::is_trivially_destructible_v<DynInst>);
 
 } // namespace rix
 

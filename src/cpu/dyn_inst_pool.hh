@@ -20,6 +20,7 @@
 #define RIX_CPU_DYN_INST_POOL_HH
 
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "cpu/dyn_inst.hh"
@@ -49,9 +50,10 @@ class DynInstPool
             activateSlab();
         const InstHandle h = freeList.back();
         freeList.pop_back();
-        DynInst &di = get(h);
-        di = DynInst{};
-        di.selfHandle = h;
+        // Construct in place: assigning a DynInst{} temporary would
+        // build and then copy a whole record per instruction.
+        DynInst *di = new (&get(h)) DynInst{};
+        di->selfHandle = h;
         ++inUse_;
         return h;
     }
@@ -135,8 +137,12 @@ class DynInstPool
 /**
  * Fixed-capacity FIFO of instruction handles with O(1) push/pop at
  * both ends and random access from the front — the shape shared by
- * the fetch queue and the ROB. Backed by one power-of-two array;
- * never allocates after construction.
+ * the fetch queue, the ROB and the scheduler's admission queue.
+ * Backed by one power-of-two array; never allocates after
+ * construction. An entry keeps its array slot from push to pop, so
+ * the slot number is a stable per-entry index (the scheduler's ready
+ * bitmasks are indexed by ROB slot), and walking the slots upward
+ * from headSlot(), wrapping at slots(), visits entries oldest first.
  */
 class HandleRing
 {
@@ -155,11 +161,14 @@ class HandleRing
     bool empty() const { return count == 0; }
     bool full() const { return count >= cap; }
 
-    void
+    /** Append @p h; returns the slot it occupies until popped. */
+    u32
     push_back(InstHandle h)
     {
-        buf[(head + count) & mask] = h;
+        const u32 slot = (head + count) & mask;
+        buf[slot] = h;
         ++count;
+        return slot;
     }
 
     void
@@ -187,6 +196,12 @@ class HandleRing
     }
 
     InstHandle front() const { return buf[head]; }
+    /** Slot of the oldest entry. */
+    u32 headSlot() const { return head; }
+    /** Entry in slot @p s (meaningful only while that slot is live). */
+    InstHandle atSlot(u32 s) const { return buf[s]; }
+    /** Number of slots: the backing array's power-of-two size. */
+    size_t slots() const { return buf.size(); }
     InstHandle back() const { return buf[(head + count - 1) & mask]; }
 
     /** @p i counted from the front (oldest). */

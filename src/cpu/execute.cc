@@ -9,10 +9,23 @@
  * addresses unless the collision history table predicts a conflict;
  * store-address resolution checks younger executed loads and triggers a
  * full squash on a memory-order violation.
+ *
+ * The scheduler keeps no list to scan. An RS instruction is admitted
+ * from the rename-ordered admission FIFO when it reaches earliestIssue;
+ * admission and each wakeup park it on its first not-ready source
+ * register or set its ROB slot's readyMask bit. Each cycle the issue
+ * stage first decides, for every ready load, whether it is held (LSQ
+ * retry backoff, or a CHT-predicted collision with an older unresolved
+ * store) — all before anything issues, so a violation squash's CHT
+ * training cannot hold a load already chosen this cycle. Select then
+ * walks the ready-and-not-held bits, priority class first, each class
+ * oldest-first via find-first-set from the ROB head. Writeback drains
+ * the current cycle's completion-calendar bucket in seq order, and the
+ * instructions it wakes are candidates in the same cycle's issue.
  */
 
 #include <algorithm>
-#include <iterator>
+#include <functional>
 
 #include "base/log.hh"
 #include "cpu/core.hh"
@@ -31,41 +44,42 @@ rangesOverlap(Addr a, unsigned asize, Addr b, unsigned bsize)
 
 } // namespace
 
-bool
-Core::checkReadyOrPark(DynInst &di)
+void
+Core::parkOrReady(DynInst &di)
 {
     if (di.hasSrc1 && !regState.ready(di.psrc1)) {
-        di.waitingOperand = true;
+        di.rsState = RsState::Parked;
         operandWaiters[di.psrc1].push_back({di.selfHandle, di.seq});
-        return false;
+        return;
     }
     if (di.hasSrc2 && !regState.ready(di.psrc2)) {
-        di.waitingOperand = true;
+        di.rsState = RsState::Parked;
         operandWaiters[di.psrc2].push_back({di.selfHandle, di.seq});
-        return false;
+        return;
     }
+    di.rsState = RsState::Ready;
+    setSlotBit(readyMask, di.robSlot, true);
+}
+
+bool
+Core::loadHeld(const DynInst &di) const
+{
     if (di.retryCycle > cycle)
-        return false;
-    if (di.isLoad()) {
-        const SatCounter &c = cht[di.pc & (cht.size() - 1)];
-        if (c.predictTaken() && oldestUnresolvedStore < di.seq)
-            return false;
-    }
-    return true;
+        return true;
+    return oldestUnresolvedStore < di.seq &&
+           cht[di.pc & (cht.size() - 1)].predictTaken();
 }
 
 void
 Core::wakeOperandWaiters(PhysReg preg)
 {
     std::vector<InstRef> &waiters = operandWaiters[preg];
-    if (waiters.empty())
-        return;
+    // A woken instruction may re-park on its other operand, never on
+    // this list: preg is ready now.
     for (const InstRef &r : waiters) {
         DynInst &w = pool.get(r.h);
-        if (w.seq == r.seq && w.waitingOperand) {
-            w.waitingOperand = false;
-            wokenList.push_back(r); // merged back before the next scan
-        }
+        if (w.seq == r.seq && w.rsState == RsState::Parked)
+            parkOrReady(w);
     }
     waiters.clear(); // keeps capacity for reuse
 }
@@ -73,8 +87,16 @@ Core::wakeOperandWaiters(PhysReg preg)
 void
 Core::scheduleCompletion(DynInst &di, Cycle when)
 {
-    completionEvents.push(CompletionEvent{
-        when > cycle ? when : cycle + 1, di.seq, di.selfHandle});
+    if (when <= cycle)
+        when = cycle + 1;
+    const CompletionEvent ev{di.seq, di.selfHandle};
+    if (when - cycle < completionWheelSlots)
+        completionWheel[when & (completionWheelSlots - 1)].push_back(ev);
+    else {
+        lateCompletions.push_back({when, ev});
+        std::push_heap(lateCompletions.begin(), lateCompletions.end(),
+                       std::greater<LateCompletion>());
+    }
 }
 
 void
@@ -183,10 +205,6 @@ Core::executeLoad(DynInst &di)
     const Cycle done = forwarded
                            ? agen_done + p.storeForwardLatency
                            : mem.read(addr, agen_done);
-    if (getenv("RIX_TRACE_LOADS") && di.seq < 600)
-        fprintf(stderr, "load seq=%llu issue=%llu addr=%llx done=%llu\n",
-                (unsigned long long)di.seq, (unsigned long long)cycle,
-                (unsigned long long)addr, (unsigned long long)done);
     scheduleCompletion(di, done);
     return true;
 }
@@ -246,15 +264,53 @@ Core::executeStore(DynInst &di)
 void
 Core::issueStage()
 {
+    // Admission: RS instructions whose schedule/regread delay is over.
+    while (!admitQueue.empty()) {
+        DynInst &di = pool.get(admitQueue.front());
+        if (di.earliestIssue > cycle)
+            break;
+        admitQueue.pop_front();
+        parkOrReady(di);
+    }
+
+    // Hold every ready load that must wait this cycle, before anything
+    // issues (see the file comment). The store queue is searched for
+    // its oldest unresolved store only in cycles with a ready load.
+    const size_t words = readyMask.size();
+    u64 any_ready = 0;
+    bool store_scanned = false;
+    for (size_t w = 0; w < words; ++w) {
+        any_ready |= readyMask[w];
+        u64 loads = readyMask[w] & loadMask[w];
+        u64 held = 0;
+        if (loads && !store_scanned) {
+            store_scanned = true;
+            oldestUnresolvedStore = ~InstSeqNum(0);
+            for (const SqEntry &e : sq) {
+                if (!e.resolved) {
+                    oldestUnresolvedStore = e.seq; // sq is age-ordered
+                    break;
+                }
+            }
+        }
+        while (loads) {
+            const unsigned b = unsigned(__builtin_ctzll(loads));
+            loads &= loads - 1;
+            if (loadHeld(pool.get(rob.atSlot(u32(w * 64 + b)))))
+                held |= u64(1) << b;
+        }
+        heldMask[w] = held;
+    }
+    if (!any_ready)
+        return;
+
     unsigned slots_simple = p.simpleIntSlots;
     unsigned slots_complex = p.complexSlots;
     unsigned slots_load = p.loadSlots;
     unsigned slots_store = p.storeSlots;
     unsigned total = p.issueWidth;
 
-    auto try_issue = [&](DynInst &di) -> bool {
-        if (total == 0)
-            return false;
+    auto try_issue = [&](DynInst &di) {
         unsigned *slot = nullptr;
         switch (di.dec->issuePort()) {
           case IssuePort::Simple: slot = &slots_simple; break;
@@ -265,7 +321,7 @@ Core::issueStage()
             break;
         }
         if (*slot == 0)
-            return true; // port busy; keep scanning other classes
+            return; // port busy; keep scanning other classes
 
         bool issued = true;
         if (di.isLoad())
@@ -278,80 +334,41 @@ Core::issueStage()
         if (issued) {
             di.issued = true;
             di.issueCycle = cycle;
-            if (di.inRs) {
-                di.inRs = false;
-                --rsBusy;
-            }
+            di.rsState = RsState::None;
+            setSlotBit(readyMask, di.robSlot, false);
+            --rsBusy;
             --*slot;
             --total;
             ++stats_.issued;
             if (di.isLoad())
                 ++stats_.issuedLoads;
         }
-        return true;
     };
 
-    // A store-set squash during issue invalidates ROB positions;
-    // collect candidates first, re-validate by sequence number. The
-    // scratch vectors are members reused every cycle (no allocation
-    // once their high-water capacity is reached). Candidates come from
-    // the age-ordered RS list, not a full ROB walk; entries that left
-    // the RS (issued or squashed, including recycled handles) are
-    // compacted away as the scan passes them.
-    std::vector<InstRef> &prio = issuePrio, &rest = issueRest;
-    prio.clear();
-    rest.clear();
-    oldestUnresolvedStore = ~InstSeqNum(0);
-    for (const SqEntry &e : sq) {
-        if (!e.resolved) {
-            oldestUnresolvedStore = e.seq; // sq is age-ordered
-            break;
-        }
-    }
-    // Fold instructions woken since the last scan back into the
-    // age-ordered list (both sides sorted by seq; merge is linear).
-    if (!wokenList.empty()) {
-        std::sort(wokenList.begin(), wokenList.end(),
-                  [](const InstRef &a, const InstRef &b) {
-                      return a.seq < b.seq;
-                  });
-        rsScratch.clear();
-        std::merge(rsList.begin(), rsList.end(), wokenList.begin(),
-                   wokenList.end(), std::back_inserter(rsScratch),
-                   [](const InstRef &a, const InstRef &b) {
-                       return a.seq < b.seq;
-                   });
-        rsList.swap(rsScratch);
-        wokenList.clear();
-    }
-
-    size_t live = 0;
-    for (size_t i = 0, n = rsList.size(); i < n; ++i) {
-        const auto [h, seq] = rsList[i];
-        DynInst &di = pool.get(h);
-        if (di.seq != seq || !di.inRs || di.issued)
-            continue; // left the RS; drop the stale entry
-        if (di.earliestIssue <= cycle) {
-            if (checkReadyOrPark(di))
-                (di.dec->priority() ? prio : rest).push_back({h, seq});
-            else if (di.waitingOperand)
-                continue; // parked: lives on a waiter list until woken
-        }
-        if (live != i)
-            rsList[live] = rsList[i];
-        ++live;
-    }
-    rsList.resize(live);
-
-    for (const auto *bucket : {&prio, &rest}) {
-        for (const InstRef &r : *bucket) {
-            if (total == 0)
-                return;
-            DynInst &di = pool.get(r.h);
-            if (di.seq != r.seq || di.issued || !di.inRs)
-                continue; // squashed meanwhile
-            if (!try_issue(di))
-                return;
+    // Select: the priority class, then the rest, each oldest-first from
+    // the ROB head. The head word is visited twice: its bits at and
+    // above the head first, those below it (the youngest, wrapped)
+    // last. A store-violation squash during issue clears the squashed
+    // instructions' ready bits, so each candidate's bit is re-tested.
+    // words is a power of two: the ring's slot count is one, and a
+    // ring of fewer than 64 slots fills part of a single word.
+    const u32 head = rob.headSlot();
+    const size_t hw = head >> 6;
+    const u64 at_or_above_head = ~u64(0) << (head & 63);
+    for (const u64 flip : {u64(0), ~u64(0)}) {
+        for (size_t i = 0; i <= words && total; ++i) {
+            const size_t w = (hw + i) & (words - 1);
+            const u64 part = i == 0       ? at_or_above_head
+                             : i == words ? ~at_or_above_head
+                                          : ~u64(0);
+            u64 bits = readyMask[w] & ~heldMask[w] & (prioMask[w] ^ flip) &
+                       part;
+            while (bits && total) {
+                const unsigned b = unsigned(__builtin_ctzll(bits));
+                bits &= bits - 1;
+                if (readyMask[w] & (u64(1) << b))
+                    try_issue(pool.get(rob.atSlot(u32(w * 64 + b))));
+            }
         }
     }
 }
@@ -374,17 +391,30 @@ Core::resolveControl(DynInst &di)
 void
 Core::writebackStage()
 {
-    while (!completionEvents.empty() &&
-           completionEvents.top().when <= cycle) {
-        const CompletionEvent ev = completionEvents.top();
-        const Cycle when = ev.when;
-        completionEvents.pop();
+    std::vector<CompletionEvent> &due =
+        completionWheel[cycle & (completionWheelSlots - 1)];
+    while (!lateCompletions.empty() &&
+           lateCompletions.front().when <= cycle) {
+        due.push_back(lateCompletions.front().ev);
+        std::pop_heap(lateCompletions.begin(), lateCompletions.end(),
+                      std::greater<LateCompletion>());
+        lateCompletions.pop_back();
+    }
+    if (due.empty())
+        return;
+    if (due.size() > 1)
+        std::sort(due.begin(), due.end(),
+                  [](const CompletionEvent &a, const CompletionEvent &b) {
+                      return a.seq < b.seq;
+                  });
 
+    // Nothing below schedules a completion, so `due` is stable.
+    for (const CompletionEvent &ev : due) {
         DynInst *di = &pool.get(ev.h);
         if (di->seq != ev.seq)
             continue; // squashed in flight (slot recycled)
 
-        completeNow(*di, when > cycle ? when : cycle);
+        completeNow(*di, cycle);
 
         if (di->hasDest && !di->integrated) {
             regState.markReady(di->pdest);
@@ -404,6 +434,7 @@ Core::writebackStage()
         if (di->isCtrl && di->resolved)
             resolveControl(*di);
     }
+    due.clear();
 }
 
 } // namespace rix

@@ -191,7 +191,7 @@ Core::renameOne(InstHandle h)
 
         const bool redirect =
             di.resolved && di.actualNextPc() != di.predictedNextPc();
-        rob.push_back(h);
+        di.robSlot = rob.push_back(h);
         if (redirect) {
             // Early (rename-time) branch resolution: the front end is
             // on the wrong path.
@@ -206,8 +206,8 @@ Core::renameOne(InstHandle h)
     }
 
     // ---- normal rename path ----
-    di.needsRs = dec.needsRs();
-    if (di.needsRs && rsBusy >= p.rsSize)
+    const bool needs_rs = dec.needsRs();
+    if (needs_rs && rsBusy >= p.rsSize)
         return false;
     if (dec.writesReg() && !regState.canAllocate())
         return false;
@@ -227,12 +227,6 @@ Core::renameOne(InstHandle h)
     cand.seq = di.renameStreamPos;
     di.createdEntry = integ.recordEntries(cand, di.hasDest, di.pdest,
                                           di.gdest, /*integrated=*/false);
-
-    if (di.needsRs) {
-        ++rsBusy;
-        di.inRs = true;
-        rsList.push_back({h, di.seq});
-    }
 
     // Queue allocation for memory operations.
     if (dec.isLoad()) {
@@ -278,7 +272,16 @@ Core::renameOne(InstHandle h)
         break;
     }
 
-    rob.push_back(h);
+    di.robSlot = rob.push_back(h);
+    if (needs_rs) {
+        // Into the RS: wait in the admission FIFO for earliestIssue;
+        // the slot's class bits are written now, for select.
+        ++rsBusy;
+        di.rsState = RsState::Queued;
+        admitQueue.push_back(h);
+        setSlotBit(prioMask, di.robSlot, dec.priority());
+        setSlotBit(loadMask, di.robSlot, dec.isLoad());
+    }
     return true;
 }
 

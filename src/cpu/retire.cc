@@ -33,10 +33,25 @@ Core::undoRename(DynInst &di)
         map[di.inst.rc] = {di.oldDest, di.oldDestGen};
         regState.releaseSquash(di.pdest);
     }
-    if (di.inRs) {
-        di.inRs = false;
-        --rsBusy;
+    switch (di.rsState) {
+      case RsState::None:
+        return;
+      case RsState::Queued:
+        // The recovery walk goes youngest-first and the admission FIFO
+        // is in rename order, so a queued victim is the FIFO's back.
+        if (admitQueue.empty() || admitQueue.back() != di.selfHandle)
+            rix_panic("admission FIFO out of order at squash (seq %llu)",
+                      (unsigned long long)di.seq);
+        admitQueue.pop_back();
+        break;
+      case RsState::Parked:
+        break; // its waiter entry fails seq validation once released
+      case RsState::Ready:
+        setSlotBit(readyMask, di.robSlot, false);
+        break;
     }
+    di.rsState = RsState::None;
+    --rsBusy;
 }
 
 void
@@ -129,10 +144,6 @@ Core::divaCheck(const DynInst &di, const StepResult &expected) const
 void
 Core::handleMisintegration(DynInst &di)
 {
-    if (getenv("RIX_TRACE_MISINT"))
-        fprintf(stderr, "misint seq=%llu pc=%llu %s\n",
-                (unsigned long long)di.seq, (unsigned long long)di.pc,
-                disassemble(di.inst).c_str());
     ++stats_.misintegrations;
     if (di.isLoad())
         ++stats_.misintLoads;
